@@ -87,6 +87,29 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB)->Unit(benchmark::kMicrosecond);
 
+// The per-byte cost every read, write and write-back pays for h(val) on a
+// 4 KiB value: the dispatched compressor (SHA-NI where the CPU has it)
+// against the portable scalar one.
+void sha256_4kib(benchmark::State& state, crypto::Sha256Compressor compress) {
+  Rng rng(4096);
+  const Bytes data = rng.bytes(4096);
+  for (auto _ : state) {
+    crypto::Sha256 ctx(compress);
+    ctx.update(data);
+    benchmark::DoNotOptimize(ctx.finish());
+  }
+}
+
+void BM_Sha256_4KiB(benchmark::State& state) {
+  sha256_4kib(state, crypto::sha256_compressor());
+}
+BENCHMARK(BM_Sha256_4KiB)->Unit(benchmark::kMicrosecond);
+
+void BM_Sha256_4KiB_Scalar(benchmark::State& state) {
+  sha256_4kib(state, &crypto::sha256_compress_scalar);
+}
+BENCHMARK(BM_Sha256_4KiB_Scalar)->Unit(benchmark::kMicrosecond);
+
 // The modexp engine behind the RSA numbers: full private-exponent
 // base^d mod n, Montgomery CIOS vs the schoolbook divmod ladder.
 // (rsa_sign itself additionally splits the work with the CRT.)

@@ -164,13 +164,13 @@ std::optional<PrepareReply> PrepareReply::decode(BytesView b) {
 
 // ----------------------------------------------------------- WRITE
 
-Bytes WriteRequest::signing_payload() const {
+Bytes WriteRequest::signing_payload(const crypto::Digest& value_hash) const {
   Writer w;
   w.put_u8(static_cast<std::uint8_t>(AuthTag::kWrite));
   w.put_u64(object);
   // Sign the digest, not the value: identical security (the certificate
   // already binds the digest) and keeps signing cost value-size-free.
-  put_digest(w, crypto::sha256(value));
+  put_digest(w, value_hash);
   put_cert(w, prep_cert);
   w.put_u32(client);
   return std::move(w).take();
@@ -238,12 +238,12 @@ std::optional<ReadRequest> ReadRequest::decode(BytesView b) {
   return m;
 }
 
-Bytes ReadReply::signing_payload() const {
+Bytes ReadReply::signing_payload(const crypto::Digest& value_hash) const {
   Writer w;
   w.put_u8(static_cast<std::uint8_t>(AuthTag::kReadReply));
   w.put_u64(object);
   nonce.encode(w);
-  put_digest(w, crypto::sha256(value));
+  put_digest(w, value_hash);
   put_cert(w, pcert);
   return std::move(w).take();
 }

@@ -112,7 +112,11 @@ struct WriteRequest {
   quorum::ClientId client = 0;   // the signer (reader during write-back)
   Bytes sig;
 
-  Bytes signing_payload() const;
+  // The signature covers h(value), not the value. `value_hash` must be
+  // sha256(value): a sender passes the digest it already trusts, and a
+  // receiver hashes the received value once and checks that one digest
+  // against both the signature and the certificate.
+  Bytes signing_payload(const crypto::Digest& value_hash) const;
   Bytes encode() const;
   static std::optional<WriteRequest> decode(BytesView b);
 };
@@ -156,7 +160,9 @@ struct ReadReply {
   ReplicaId replica = 0;
   Bytes auth;
 
-  Bytes signing_payload() const;
+  // As for WriteRequest: the authenticator covers h(value), and
+  // `value_hash` must be sha256(value).
+  Bytes signing_payload(const crypto::Digest& value_hash) const;
   Bytes encode() const;
   static std::optional<ReadReply> decode(BytesView b);
 };

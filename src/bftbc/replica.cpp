@@ -157,13 +157,15 @@ void Replica::collect_verify_items(
     item.sig = std::move(sig);
     items.push_back(std::move(item));
   };
-  auto add_client_sig = [&](quorum::ClientId client, Bytes payload,
+  // The payload is built only when it is queued (for a WRITE that means
+  // hashing the whole value).
+  auto add_client_sig = [&](quorum::ClientId client, const auto& payload,
                             const Bytes& sig) {
     // MAC authenticators are checked inline by verify_client_sig (a
     // cheap HMAC slice, nothing to pre-warm or cache).
     if (options_.mac_auth) return;
     if (quorum::is_replica_principal(client)) return;
-    add(quorum::client_principal(client), std::move(payload), sig);
+    add(quorum::client_principal(client), payload(), sig);
   };
   auto add_prep_cert = [&](const PrepareCertificate& cert) {
     if (cert.is_genesis()) return;
@@ -186,7 +188,8 @@ void Replica::collect_verify_items(
     case rpc::MsgType::kPrepare: {
       auto req = PrepareRequest::decode(env.body);
       if (!req.has_value()) return;
-      add_client_sig(req->client, req->signing_payload(), req->sig);
+      add_client_sig(
+          req->client, [&] { return req->signing_payload(); }, req->sig);
       add_prep_cert(req->prep_cert);
       if (req->write_cert.has_value()) add_write_cert(*req->write_cert);
       break;
@@ -194,7 +197,10 @@ void Replica::collect_verify_items(
     case rpc::MsgType::kWrite: {
       auto req = WriteRequest::decode(env.body);
       if (!req.has_value()) return;
-      add_client_sig(req->client, req->signing_payload(), req->sig);
+      add_client_sig(
+          req->client,
+          [&] { return req->signing_payload(crypto::sha256(req->value)); },
+          req->sig);
       add_prep_cert(req->prep_cert);
       break;
     }
@@ -208,7 +214,8 @@ void Replica::collect_verify_items(
       if (!options_.optimized) return;
       auto req = ReadTsPrepRequest::decode(env.body);
       if (!req.has_value()) return;
-      add_client_sig(req->client, req->signing_payload(), req->sig);
+      add_client_sig(
+          req->client, [&] { return req->signing_payload(); }, req->sig);
       if (req->write_cert.has_value()) add_write_cert(*req->write_cert);
       break;
     }
@@ -608,9 +615,11 @@ void Replica::handle_write(sim::NodeId from, const rpc::Envelope& env) {
   ObjectState& state = object(req->object);
   sim::Time cost = 0;
 
-  // Figure 2 phase 3 step 1.
-  if (!verify_client_sig(req->client, req->signing_payload(), req->sig,
-                         cost)) {
+  // Figure 2 phase 3 step 1. One digest of the received value serves
+  // both the signature and the certificate match.
+  const crypto::Digest value_hash = crypto::sha256(req->value);
+  if (!verify_client_sig(req->client, req->signing_payload(value_hash),
+                         req->sig, cost)) {
     dropped("drop_bad_auth");
     return;
   }
@@ -618,7 +627,7 @@ void Replica::handle_write(sim::NodeId from, const rpc::Envelope& env) {
     dropped("drop_bad_cert");
     return;
   }
-  if (req->prep_cert.hash() != crypto::sha256(req->value)) {
+  if (req->prep_cert.hash() != value_hash) {
     dropped("drop_hash_mismatch");
     return;
   }
@@ -680,7 +689,10 @@ void Replica::handle_read(sim::NodeId from, const rpc::Envelope& env) {
   if (amortized_auth_for(from)) {
     metrics_.inc("auth_p2p_amortized");
   } else {
-    rep.auth = p2p_auth(env.sender, rep.signing_payload(), cost);
+    // ObjectState keeps data() hashing to pcert().hash(), so the stored
+    // value is not hashed again here.
+    rep.auth = p2p_auth(env.sender, rep.signing_payload(rep.pcert.hash()),
+                        cost);
   }
 
   granted("reply_read");

@@ -43,6 +43,11 @@ class ObjectState {
 
   ObjectId object() const { return object_; }
 
+  // Invariant: sha256(data()) == pcert().hash(). Genesis pairs the empty
+  // value with the empty value's hash, apply_write's caller checks the
+  // hash first, and state transfer adopts only hash-checked snapshots.
+  // The read path relies on it to authenticate a reply without hashing
+  // the stored value again.
   const Bytes& data() const { return data_; }
   const PrepareCertificate& pcert() const { return pcert_; }
   const Timestamp& write_ts() const { return write_ts_; }
@@ -70,7 +75,8 @@ class ObjectState {
 
   // Figure 2, phase 3, step 2 — plus the optimized tiebreak (§6.2
   // phase 3): equal timestamps resolve toward the larger hash.
-  // Returns true if the state was overwritten.
+  // Returns true if the state was overwritten. The caller has checked
+  // that sha256(value) == cert.hash().
   [[nodiscard]] bool apply_write(const Bytes& value,
                                  const PrepareCertificate& cert,
                                  bool optimized_tiebreak);

@@ -1,20 +1,26 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
+#include <array>
+
 namespace bftbc::crypto {
 
 Digest hmac_sha256(BytesView key, BytesView message) {
   constexpr std::size_t kBlock = 64;
 
-  // Keys longer than the block size are hashed first.
-  Bytes k(kBlock, 0);
+  // Keys longer than the block size are hashed first. Everything stays on
+  // the stack: a MAC is computed or checked for every point-to-point
+  // message.
+  std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
-    Digest kd = sha256(key);
+    const Digest kd = sha256(key);
     std::copy(kd.begin(), kd.end(), k.begin());
   } else {
     std::copy(key.begin(), key.end(), k.begin());
   }
 
-  Bytes ipad(kBlock), opad(kBlock);
+  std::array<std::uint8_t, kBlock> ipad{};
+  std::array<std::uint8_t, kBlock> opad{};
   for (std::size_t i = 0; i < kBlock; ++i) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
@@ -23,11 +29,11 @@ Digest hmac_sha256(BytesView key, BytesView message) {
   Sha256 inner;
   inner.update(ipad);
   inner.update(message);
-  Digest inner_digest = inner.finish();
+  const Digest inner_digest = inner.finish();
 
   Sha256 outer;
   outer.update(opad);
-  outer.update(digest_view(inner_digest));
+  outer.update(inner_digest);
   return outer.finish();
 }
 

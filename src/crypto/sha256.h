@@ -4,9 +4,16 @@
 // h(val) in PREPARE requests, replicas bind prepare certificates to the
 // digest, and the optimized protocol breaks timestamp ties by comparing
 // digests numerically.
+//
+// The block compression has two implementations: a portable scalar one
+// and, on x86 CPUs with the SHA extensions, a SHA-NI kernel. Which one a
+// default-constructed context uses is decided once per process from
+// CPUID; there is no switch. The scalar compressor is the fallback and
+// the reference the SHA-NI kernel is tested against.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/bytes.h"
@@ -17,10 +24,32 @@ inline constexpr std::size_t kDigestSize = 32;
 
 using Digest = std::array<std::uint8_t, kDigestSize>;
 
+// Folds `nblocks` consecutive 64-byte blocks into the eight-word chaining
+// value `state`.
+using Sha256Compressor = void (*)(std::uint32_t* state,
+                                  const std::uint8_t* blocks,
+                                  std::size_t nblocks);
+
+// The portable compressor.
+void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t nblocks);
+
+// The SHA-NI compressor, or nullptr when this build is not for x86 or the
+// CPU lacks SHA (CPUID leaf 7 EBX bit 29), SSSE3 or SSE4.1.
+Sha256Compressor sha256_compress_sha_ni();
+
+// The compressor Sha256() uses: SHA-NI when available, else scalar.
+Sha256Compressor sha256_compressor();
+
 // Incremental hashing context.
 class Sha256 {
  public:
-  Sha256() { reset(); }
+  Sha256() : Sha256(sha256_compressor()) {}
+  // Hashes with the given compressor; lets tests pit the two against
+  // each other.
+  explicit Sha256(Sha256Compressor compress) : compress_(compress) {
+    reset();
+  }
 
   void reset();
   void update(BytesView data);
@@ -29,8 +58,7 @@ class Sha256 {
   Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
+  Sha256Compressor compress_;
   std::uint32_t h_[8];
   std::uint8_t buf_[64];
   std::size_t buf_len_;

@@ -78,7 +78,7 @@ core::WriteRequest AttackClientBase::make_write(ObjectId object, Bytes value,
   req.value = std::move(value);
   req.prep_cert = pnew;
   req.client = id_;
-  req.sig = request_auth(req.signing_payload());
+  req.sig = request_auth(req.signing_payload(crypto::sha256(req.value)));
   return req;
 }
 

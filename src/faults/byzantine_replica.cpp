@@ -67,7 +67,8 @@ void FlipValueReplica::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
     rep.pcert = state.pcert();
     rep.nonce = req->nonce;
     rep.replica = id_;
-    rep.auth = p2p_auth(env.sender, rep.signing_payload(), cost);
+    rep.auth = p2p_auth(env.sender,
+                        rep.signing_payload(crypto::sha256(rep.value)), cost);
     metrics_.inc("byz_flipped_value");
     reply(from, rpc::MsgType::kReadReply, env.rpc_id, rep.encode(), cost);
     return;

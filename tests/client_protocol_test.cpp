@@ -73,7 +73,9 @@ class ClientProtocolTest : public ::testing::Test {
     rep.pcert = pcert;
     rep.nonce = req.nonce;
     rep.replica = r;
-    rep.auth = replica_signers_[r].sign(rep.signing_payload()).value();
+    rep.auth = replica_signers_[r]
+                   .sign(rep.signing_payload(crypto::sha256(rep.value)))
+                   .value();
     return rep;
   }
 
@@ -153,13 +155,50 @@ TEST_F(ClientProtocolTest, ReadRejectsValueNotMatchingCertificate) {
     const auto* env = last_request(0, rpc::MsgType::kRead);
     auto req = ReadRequest::decode(env->body);
     ReadReply lie = correct_read_reply(0, *req, to_bytes("LIES"), cert);
-    lie.auth = replica_signers_[0].sign(lie.signing_payload()).value();
+    lie.auth = replica_signers_[0]
+                   .sign(lie.signing_payload(crypto::sha256(lie.value)))
+                   .value();
     reply_from(0, rpc::MsgType::kReadReply, env->rpc_id, lie.encode());
   }
   EXPECT_FALSE(result.has_value());
 
   // Three honest replies complete the read with the true value.
   for (quorum::ReplicaId r = 1; r < config_.n; ++r) {
+    const auto* env = last_request(r, rpc::MsgType::kRead);
+    auto req = ReadRequest::decode(env->body);
+    reply_from(r, rpc::MsgType::kReadReply, env->rpc_id,
+               correct_read_reply(r, *req, value, cert).encode());
+  }
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result->is_ok());
+  EXPECT_EQ(to_string(result->value().value), "stored");
+}
+
+// A correct replica authenticates its READ-REPLY over the certificate's
+// hash rather than re-hashing its stored value. A faulty replica doing the
+// same while shipping another value gets a valid-looking authenticator for
+// the wrong digest: the client hashes the value it received, so the reply
+// must still not count.
+TEST_F(ClientProtocolTest, ReadRejectsAuthOverCertHashWithOtherValue) {
+  std::optional<Result<Client::ReadResult>> result;
+  client_->read(kObj,
+                [&](Result<Client::ReadResult> r) { result = std::move(r); });
+  ASSERT_TRUE(wait_requests(rpc::MsgType::kRead));
+
+  const Bytes value = to_bytes("stored");
+  const auto cert = mint_prep_cert({1, 2}, crypto::sha256(value));
+  {
+    const auto* env = last_request(0, rpc::MsgType::kRead);
+    auto req = ReadRequest::decode(env->body);
+    ReadReply lie = correct_read_reply(0, *req, to_bytes("LIES"), cert);
+    lie.auth =
+        replica_signers_[0].sign(lie.signing_payload(cert.hash())).value();
+    reply_from(0, rpc::MsgType::kReadReply, env->rpc_id, lie.encode());
+  }
+
+  // Two honest replies are one short of 2f+1 once the lie is discarded.
+  for (quorum::ReplicaId r = 1; r < config_.n; ++r) {
+    EXPECT_FALSE(result.has_value()) << "completed before replica " << r;
     const auto* env = last_request(r, rpc::MsgType::kRead);
     auto req = ReadRequest::decode(env->body);
     reply_from(r, rpc::MsgType::kReadReply, env->rpc_id,
@@ -261,8 +300,9 @@ TEST_F(ClientProtocolTest, MixedVersionsTriggerWriteBack) {
     EXPECT_EQ(wreq->prep_cert.ts(), (Timestamp{2, 2}));
     // The reader signed the write-back as itself.
     EXPECT_EQ(wreq->client, kClient);
-    EXPECT_TRUE(keystore_.verify(quorum::client_principal(kClient),
-                                 wreq->signing_payload(), wreq->sig));
+    EXPECT_TRUE(keystore_.verify(
+        quorum::client_principal(kClient),
+        wreq->signing_payload(crypto::sha256(wreq->value)), wreq->sig));
 
     WriteReply ack;
     ack.object = kObj;

@@ -88,7 +88,8 @@ TEST_P(FuzzRobustnessTest, MutatedClientTrafficNeverAccepted) {
   wreq.value = value;
   wreq.prep_cert = prep.prep_cert;  // mismatched on purpose sometimes
   wreq.client = 2;
-  wreq.sig = signer.sign(wreq.signing_payload()).value();
+  wreq.sig =
+      signer.sign(wreq.signing_payload(crypto::sha256(wreq.value))).value();
 
   const Bytes prep_body = prep.encode();
   const Bytes write_body = wreq.encode();
@@ -205,7 +206,8 @@ TEST(FuzzPinnedRegressionTest, TruncatedOrPaddedWriteBodiesNeverAccepted) {
   wreq.value = value;
   wreq.prep_cert = core::PrepareCertificate(1, ts, h, std::move(prep_sigs));
   wreq.client = 2;
-  wreq.sig = signer.sign(wreq.signing_payload()).value();
+  wreq.sig =
+      signer.sign(wreq.signing_payload(crypto::sha256(wreq.value))).value();
   const Bytes body = wreq.encode();
 
   auto transport = cluster.make_transport(harness::client_node(66));

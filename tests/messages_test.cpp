@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bftbc/messages.h"
+#include "util/hex.h"
 
 namespace bftbc::core {
 namespace {
@@ -196,7 +197,63 @@ TEST(MessagesTest, WriteSigningPayloadBindsValueByDigest) {
   a.client = 9;
   WriteRequest b = a;
   b.value = to_bytes("v2");
-  EXPECT_NE(a.signing_payload(), b.signing_payload());
+  EXPECT_NE(a.signing_payload(crypto::sha256(a.value)),
+            b.signing_payload(crypto::sha256(b.value)));
+}
+
+// ---- pinned signing payloads ------------------------------------------
+//
+// The exact bytes a correct sender signs for a 4 KiB value when it passes
+// sha256(value) in. They must not move, or nodes of different builds
+// would reject each other's signatures. The value spans many blocks, so
+// the digest inside also pins the dispatched compressor.
+
+Bytes honest_value() {
+  Bytes v(4096);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<std::uint8_t>(i * 131);
+  }
+  return v;
+}
+
+PrepareCertificate honest_cert(const Bytes& value) {
+  const PrepareCertificate shape = prep_cert();
+  return PrepareCertificate(shape.object(), shape.ts(), crypto::sha256(value),
+                            shape.signatures());
+}
+
+constexpr const char* kPinnedReadReplyPayload =
+    "130700000000000000010000000600000000000000660000000000000066ad39"
+    "05f04032782f735166f0527e4280b1d872765a55b5df2b2a73ac3248e8500700"
+    "00000000000004000000000000000200000066ad3905f04032782f735166f052"
+    "7e4280b1d872765a55b5df2b2a73ac3248e80300000000047369673002000000"
+    "0473696732030000000473696733";
+
+constexpr const char* kPinnedWritePayload =
+    "12070000000000000066ad3905f04032782f735166f0527e4280b1d872765a55"
+    "b5df2b2a73ac3248e850070000000000000004000000000000000200000066ad"
+    "3905f04032782f735166f0527e4280b1d872765a55b5df2b2a73ac3248e80300"
+    "000000047369673002000000047369673203000000047369673309000000";
+
+TEST(MessagesTest, ReadReplySigningPayloadMatchesPinnedBytes) {
+  ReadReply m;
+  m.object = 7;
+  m.value = honest_value();
+  m.pcert = honest_cert(m.value);
+  m.nonce = nonce(6);
+  m.replica = 3;
+  EXPECT_EQ(to_hex(m.signing_payload(crypto::sha256(m.value))),
+            kPinnedReadReplyPayload);
+}
+
+TEST(MessagesTest, WriteSigningPayloadMatchesPinnedBytes) {
+  WriteRequest m;
+  m.object = 7;
+  m.value = honest_value();
+  m.prep_cert = honest_cert(m.value);
+  m.client = 9;
+  EXPECT_EQ(to_hex(m.signing_payload(crypto::sha256(m.value))),
+            kPinnedWritePayload);
 }
 
 TEST(MessagesTest, WriteReplyRoundtrip) {

@@ -251,7 +251,8 @@ TEST_F(ReplicaProtocolTest, ValidWriteAppliesAndSigns) {
   req.value = value;
   req.prep_cert = mint_prep_cert(t, h);
   req.client = kClient;
-  req.sig = client_signer_.sign(req.signing_payload()).value();
+  req.sig = client_signer_.sign(req.signing_payload(crypto::sha256(req.value)))
+                .value();
   send(rpc::MsgType::kWrite, req.encode());
 
   ASSERT_EQ(replies_.size(), 1u);
@@ -271,7 +272,8 @@ TEST_F(ReplicaProtocolTest, WriteWithHashMismatchDropped) {
   req.value = value;
   req.prep_cert = mint_prep_cert({1, kClient}, wrong);
   req.client = kClient;
-  req.sig = client_signer_.sign(req.signing_payload()).value();
+  req.sig = client_signer_.sign(req.signing_payload(crypto::sha256(req.value)))
+                .value();
   send(rpc::MsgType::kWrite, req.encode());
   EXPECT_TRUE(replies_.empty());
   EXPECT_EQ(replica_.metrics().get("drop_hash_mismatch"), 1u);
@@ -287,7 +289,8 @@ TEST_F(ReplicaProtocolTest, StaleWriteRepliedButNotApplied) {
   w2.value = v2;
   w2.prep_cert = mint_prep_cert({2, kClient}, crypto::sha256(v2));
   w2.client = kClient;
-  w2.sig = client_signer_.sign(w2.signing_payload()).value();
+  w2.sig = client_signer_.sign(w2.signing_payload(crypto::sha256(w2.value)))
+               .value();
   send(rpc::MsgType::kWrite, w2.encode(), 1);
 
   const Bytes v1 = to_bytes("older");
@@ -296,7 +299,8 @@ TEST_F(ReplicaProtocolTest, StaleWriteRepliedButNotApplied) {
   w1.value = v1;
   w1.prep_cert = mint_prep_cert({1, kClient}, crypto::sha256(v1));
   w1.client = kClient;
-  w1.sig = client_signer_.sign(w1.signing_payload()).value();
+  w1.sig = client_signer_.sign(w1.signing_payload(crypto::sha256(w1.value)))
+               .value();
   send(rpc::MsgType::kWrite, w1.encode(), 2);
 
   EXPECT_EQ(replies_.size(), 2u);
@@ -318,7 +322,8 @@ TEST_F(ReplicaProtocolTest, BackgroundWriteSigCacheHitOnPhase3) {
   req.value = value;
   req.prep_cert = mint_prep_cert(t, h);
   req.client = kClient;
-  req.sig = client_signer_.sign(req.signing_payload()).value();
+  req.sig = client_signer_.sign(req.signing_payload(crypto::sha256(req.value)))
+                .value();
   send(rpc::MsgType::kWrite, req.encode(), 2);
   EXPECT_EQ(replica_.metrics().get("sig_background_hit"), 1u);
 }

@@ -371,5 +371,64 @@ TEST(ObjectStateRecoverTest, EmptyPeerSetYieldsGenesis) {
   EXPECT_TRUE(r.write_ts().is_zero());
 }
 
+// ---- value-digest invariant: sha256(data()) == pcert().hash() ----------
+//
+// The replica authenticates READ-REPLY with pcert().hash() instead of
+// hashing the stored value, so every way state can change must keep the
+// value and its certificate's digest in step.
+
+void expect_value_matches_cert(const ObjectState& s) {
+  EXPECT_EQ(crypto::sha256(s.data()), s.pcert().hash());
+}
+
+TEST(ObjectStateValueDigestTest, HoldsAtGenesis) {
+  expect_value_matches_cert(ObjectState(1));
+}
+
+TEST(ObjectStateValueDigestTest, HoldsAfterApplyWrite) {
+  ObjectState s(1);
+  ASSERT_TRUE(s.apply_write(to_bytes("v2"), cert_for(1, {2, 1}, "v2"), false));
+  expect_value_matches_cert(s);
+  // A stale write is refused and leaves the pair intact.
+  ASSERT_FALSE(s.apply_write(to_bytes("v1"), cert_for(1, {1, 1}, "v1"), false));
+  EXPECT_EQ(s.data(), to_bytes("v2"));
+  expect_value_matches_cert(s);
+}
+
+TEST(ObjectStateValueDigestTest, HoldsAfterOptimizedTiebreakOverwrite) {
+  const char* a = "aaa";
+  const char* b = "zzz";
+  const bool a_bigger = crypto::compare_digests(h(a), h(b)) > 0;
+  const char* small = a_bigger ? b : a;
+  const char* big = a_bigger ? a : b;
+  ObjectState s(1);
+  ASSERT_TRUE(s.apply_write(to_bytes(small), cert_for(1, {1, 1}, small), true));
+  // Same timestamp, larger hash: the tiebreak overwrites value and cert
+  // together.
+  ASSERT_TRUE(s.apply_write(to_bytes(big), cert_for(1, {1, 1}, big), true));
+  EXPECT_EQ(to_string(s.data()), big);
+  expect_value_matches_cert(s);
+}
+
+TEST(ObjectStateValueDigestTest, HoldsAfterRecoverAndReload) {
+  std::vector<ObjectState> peers;
+  peers.push_back(peer_with_write(1, {1, 1}, "oldest"));
+  peers.push_back(peer_with_write(1, {3, 2}, "newest"));
+  peers.push_back(ObjectState(1));
+  const ObjectState r = ObjectState::recover(1, peers, /*f=*/1);
+  EXPECT_EQ(r.data(), to_bytes("newest"));
+  expect_value_matches_cert(r);
+  expect_value_matches_cert(ObjectState::recover(1, {}, /*f=*/1));
+
+  // The encoded form is both the state-transfer blob and the cold-store
+  // entry an evicted object reloads from.
+  Writer w;
+  r.encode(w);
+  Reader rd(w.data());
+  const std::optional<ObjectState> back = ObjectState::decode(rd);
+  ASSERT_TRUE(back.has_value());
+  expect_value_matches_cert(*back);
+}
+
 }  // namespace
 }  // namespace bftbc::core
