@@ -21,13 +21,6 @@ generic tool can express:
       only crypto that may fan out through it.
       Scope: src/ except src/crypto/.
 
-  nondeterminism
-      Simulation and protocol code must stay deterministic for a fixed
-      seed: no std::random_device, rand()/srand(), time(), or
-      std::chrono::system_clock. Randomness comes from util/rng.h (seeded)
-      and time from the simulator's virtual clock.
-      Scope: src/bftbc/, src/quorum/, src/sim/.
-
   unchecked-result-value
       Result<T>::value() asserts is_ok() only in debug builds; in release
       it reads the wrong variant. Protocol code must check before
@@ -44,6 +37,10 @@ generic tool can express:
       (plist_, optlist_, write_ts_, data_, pcert_) or const_casting an
       ObjectState outside replica_state.{h,cpp} breaks the audit trail.
       Scope: src/bftbc/ except replica_state.{h,cpp}.
+
+Determinism (no libc randomness or wall clock in simulation/protocol
+code) is the analyzer's `determinism` check (scripts/analyze/), which
+matches calls on qualified names.
 
 Suppressions: a line containing `bftbc-lint: allow(<rule>) -- <why>`
 (in a comment) is exempt from <rule>. The justification is mandatory: a
@@ -127,36 +124,6 @@ def check_raw_verify(rel, lines, findings):
             )
 
 
-# ------------------------------------------------------- nondeterminism
-
-NONDET_SCOPES = ("src/bftbc/", "src/quorum/", "src/sim/")
-NONDET_PATTERNS = (
-    (re.compile(r"\bstd\s*::\s*random_device\b"), "std::random_device"),
-    (re.compile(r"(?<![\w.:>])s?rand\s*\("), "rand()/srand()"),
-    (re.compile(r"(?:\bstd\s*::\s*|(?<![\w.:>]))time\s*\("), "time()"),
-    (re.compile(r"\bsystem_clock\b"), "std::chrono::system_clock"),
-)
-
-
-def check_nondeterminism(rel, lines, findings):
-    if not rel.startswith(NONDET_SCOPES):
-        return
-    for i, line in enumerate(lines, 1):
-        scrubbed = _scrub(line)
-        for pattern, what in NONDET_PATTERNS:
-            if pattern.search(scrubbed):
-                findings.append(
-                    Finding(
-                        rel,
-                        i,
-                        "nondeterminism",
-                        f"{what} in deterministic simulation/protocol code; "
-                        "use util/rng.h (seeded) or the simulator's virtual "
-                        "clock",
-                    )
-                )
-
-
 # ----------------------------------------------- unchecked-result-value
 
 VALUE_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*value\s*\(\s*\)")
@@ -232,7 +199,6 @@ def check_replica_state_mutation(rel, lines, findings):
 
 CHECKS = (
     check_raw_verify,
-    check_nondeterminism,
     check_unchecked_result_value,
     check_replica_state_mutation,
 )

@@ -708,6 +708,18 @@ class DeterminismTest(unittest.TestCase):
         found = self.run_check(fn)
         self.assertEqual([f.rule for f in found], ["banned-call"])
 
+    def test_config_bans_every_call_the_regex_lint_caught(self):
+        # libclang-free pin of the coverage that retired the regex
+        # `nondeterminism` lint rule: every libc randomness / wall-clock
+        # call it flagged is banned by name, random_device by type.
+        cfg = Config()
+        for name in ("rand", "std::srand", "::time", "std::time",
+                     "std::chrono::system_clock::now"):
+            self.assertTrue(cfg.is_banned_call(name), name)
+        self.assertIn("random_device", Config.BANNED_DECL_TYPES)
+        # The simulator's own virtual clock stays legal.
+        self.assertFalse(cfg.is_banned_call("bftbc::sim::Clock::time"))
+
 
 class BaselineTest(unittest.TestCase):
     def test_diff_partitions_new_old_stale(self):

@@ -28,8 +28,6 @@ CASES = {
     "raw_verify_cache_fail.cpp": ("src/bftbc/fixture.cpp", "raw-verify"),
     "raw_verify_pool_fail.cpp": ("src/bftbc/fixture.cpp", "raw-verify"),
     "raw_verify_pass.cpp": ("src/bftbc/fixture.cpp", None),
-    "nondet_fail.cpp": ("src/sim/fixture.cpp", "nondeterminism"),
-    "nondet_pass.cpp": ("src/sim/fixture.cpp", None),
     "unchecked_value_fail.cpp": (
         "src/bftbc/fixture.cpp",
         "unchecked-result-value",
@@ -89,7 +87,6 @@ def _make_case(fixture, staged_rel, rule):
             # It must trip ONLY its own rule: no cross-contamination.
             for other in {
                 "raw-verify",
-                "nondeterminism",
                 "unchecked-result-value",
                 "replica-state-mutation",
             } - {rule}:
@@ -106,13 +103,12 @@ for _fixture, (_rel, _rule) in CASES.items():
 class LintScopingTest(unittest.TestCase):
     def test_rules_do_not_fire_outside_their_scope(self):
         # The same raw-verify violation is legal inside src/crypto/ and in
-        # tests/; nondeterminism is legal outside the simulation dirs.
+        # tests/; direct state mutation is legal in replica_state.cpp.
         for fixture, rel in (
             ("raw_verify_fail.cpp", "src/crypto/fixture.cpp"),
             ("raw_verify_fail.cpp", "tests/fixture.cpp"),
             ("raw_verify_pool_fail.cpp", "src/crypto/fixture.cpp"),
             ("raw_verify_pool_fail.cpp", "tools/fixture.cpp"),
-            ("nondet_fail.cpp", "src/util/fixture.cpp"),
             ("state_mutation_fail.cpp", "src/bftbc/replica_state.cpp"),
         ):
             rc, out = run_linter_on(fixture, rel)

@@ -134,11 +134,12 @@ class Explorer {
   // options_.runs scenarios.
   Report explore();
 
-  // Execute one scenario start to finish; when `trace_out` is non-null
-  // the cluster's event ring buffer is dumped into it at the end.
-  // Scenarios with shards > 1 run on a ShardedCluster through routing
-  // clients, and the verdict is taken per shard (RunOutcome::
-  // shard_verdicts) over the split history.
+  // Execute one scenario start to finish on a harness::Cluster with
+  // `shards` replica groups, every client a routing client. The verdict
+  // is taken per shard over the split history (one slice for a single
+  // group; RunOutcome::shard_verdicts when shards > 1). When `trace_out`
+  // is non-null the cluster's event ring buffer, then the recorded
+  // op/stop history, are dumped into it at the end.
   RunOutcome run_scenario(const Scenario& scenario,
                           std::ostream* trace_out = nullptr);
 

@@ -120,12 +120,12 @@ struct Scenario {
   // detects and shrinks real violations. sample() always keeps it true.
   bool enforce_fault_budget = true;
   std::uint32_t objects = 1;
-  // Number of independent replica groups. 1 = the classic single-group
-  // run; >1 drives a ShardedCluster through routing clients and the
-  // checker verdict becomes per-shard (split_history + one checker
-  // instance per shard). Byzantine slots apply to the same slot in every
-  // shard; partitions cut the slot across all shards; attacks aim at the
-  // shard owning their object.
+  // Number of independent replica groups the run's harness::Cluster
+  // builds. 1 = the classic single-group run; >1 makes the checker
+  // verdict per-shard (split_history + one checker instance per shard).
+  // Byzantine slots apply to the same slot in every shard; partitions
+  // cut the slot across all shards; attacks aim at the shard owning
+  // their object.
   std::uint32_t shards = 1;
 
   // Link adversity (applied to the cluster-wide default link).

@@ -1,6 +1,7 @@
 // Recorder: drives client operations synchronously while logging them
 // into a checker::History — the bridge between the harness and the
-// BFT-linearizability checker.
+// BFT-linearizability checker. Takes either a protocol client or a
+// shard::RoutingClient.
 #pragma once
 
 #include "checker/history.h"
@@ -13,8 +14,8 @@ class Recorder {
   Recorder(Cluster& cluster, checker::History& history)
       : cluster_(cluster), history_(history) {}
 
-  Result<core::Client::WriteResult> write(core::Client& c,
-                                          quorum::ObjectId object,
+  template <typename C>
+  Result<core::Client::WriteResult> write(C& c, quorum::ObjectId object,
                                           Bytes value) {
     const std::size_t token =
         history_.begin_write(c.id(), object, cluster_.sim().now(), value);
@@ -27,8 +28,8 @@ class Recorder {
     return result;
   }
 
-  Result<core::Client::ReadResult> read(core::Client& c,
-                                        quorum::ObjectId object) {
+  template <typename C>
+  Result<core::Client::ReadResult> read(C& c, quorum::ObjectId object) {
     const std::size_t token =
         history_.begin_read(c.id(), object, cluster_.sim().now());
     auto result = cluster_.read(c, object);

@@ -12,16 +12,20 @@ using harness::Cluster;
 using harness::ClusterOptions;
 
 // gtest has no printer for this type, so each test's listed name ends in
-// the raw bytes of its parameter. The alignment gap is spelled out as a
-// zeroed member so that every copy carries the same bytes there and the
-// names are the same from build to build.
+// the raw bytes of its parameter. Every byte is therefore fixed: the
+// alignment gap is a zeroed member, and the mode's name is an index into
+// kModeNames rather than a pointer, whose address would change from run
+// to run under ASLR.
 struct ModeParam {
   bool optimized;
   bool strong;
   char gap[6];
-  const char* name;
+  std::uint64_t name_index;
 };
 static_assert(sizeof(ModeParam) == 16);
+
+constexpr const char* kModeNames[] = {"base", "optimized", "strong",
+                                      "strong_optimized"};
 
 class BftBcModeTest : public ::testing::TestWithParam<ModeParam> {
  protected:
@@ -193,11 +197,13 @@ TEST_P(BftBcModeTest, ReadAfterPartialWriteBackfills) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BftBcModeTest,
-    ::testing::Values(ModeParam{false, false, {}, "base"},
-                      ModeParam{true, false, {}, "optimized"},
-                      ModeParam{false, true, {}, "strong"},
-                      ModeParam{true, true, {}, "strong_optimized"}),
-    [](const auto& info) { return std::string(info.param.name); });
+    ::testing::Values(ModeParam{false, false, {}, 0},
+                      ModeParam{true, false, {}, 1},
+                      ModeParam{false, true, {}, 2},
+                      ModeParam{true, true, {}, 3}),
+    [](const auto& info) {
+      return std::string(kModeNames[info.param.name_index]);
+    });
 
 // ---------------------------------------------------------------- phases
 

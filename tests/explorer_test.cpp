@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "explore/corpus.h"
 #include "explore/coverage.h"
 #include "explore/explorer.h"
+#include "harness/cluster.h"
 #include "util/json_value.h"
 
 namespace bftbc::explore {
@@ -286,6 +290,38 @@ TEST(ExplorerTest, MultiShardViolationNamesTheGuiltyShard) {
     if (verdict != "ok") ++bad;
   }
   EXPECT_EQ(bad, 1);
+}
+
+TEST(ExplorerTest, MultiShardReplayDumpsTheEventTrace) {
+  // A multi-shard replay carries the same evidence a single-group one
+  // does: the event ring — client ops and phases, traffic to and from
+  // every shard's replicas — then the recorded op/stop history.
+  std::ifstream in(std::string(BFTBC_CORPUS_DIR) +
+                   "/sharded-gather-prepares.json");
+  ASSERT_TRUE(in);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const auto scenario = Scenario::from_json(buffer.str());
+  ASSERT_TRUE(scenario.has_value());
+  ASSERT_GT(scenario->shards, 1u);
+
+  Explorer explorer(ExplorerOptions{});
+  std::ostringstream trace;
+  const RunOutcome outcome = explorer.run_scenario(*scenario, &trace);
+  EXPECT_TRUE(outcome.failed());
+  const std::string t = trace.str();
+  EXPECT_EQ(t.find("not captured"), std::string::npos) << t;
+  EXPECT_NE(t.find(" OP_BEGIN "), std::string::npos) << t;
+  EXPECT_NE(t.find(" PHASE "), std::string::npos) << t;
+  for (std::uint32_t sh = 0; sh < scenario->shards; ++sh) {
+    const std::string from_replica =
+        " " + std::to_string(harness::shard_replica_node(sh, 0)) + "->";
+    EXPECT_NE(t.find(from_replica), std::string::npos)
+        << "no event from shard " << sh << "'s replica 0";
+  }
+  EXPECT_NE(t.find("history: "), std::string::npos);
+  EXPECT_NE(t.find("op c=" + std::to_string(kProbeClient) + " "),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------------

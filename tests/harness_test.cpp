@@ -73,6 +73,75 @@ TEST(ClusterTest, AddClientIsIdempotent) {
   EXPECT_EQ(&a, &b);
 }
 
+TEST(ClusterTest, OneShardKeepsSingleGroupLayout) {
+  // Shard 0 of the harness IS the single-group layout: replica r at
+  // NodeId r, client c at kClientNodeBase + c, the base key seed, and
+  // metric names with no shard scope — even for a routing client.
+  ClusterOptions o;
+  o.seed = 9;
+  Cluster one(o);
+  ASSERT_EQ(one.shards(), 1u);
+  const std::vector<sim::NodeId> nodes = one.replica_nodes();
+  for (quorum::ReplicaId r = 0; r < one.config().n; ++r) {
+    EXPECT_EQ(nodes[r], r);
+  }
+  EXPECT_EQ(shard_client_node(0, 5), kClientNodeBase + 5);
+  EXPECT_EQ(client_node(5), kClientNodeBase + 5);
+
+  // Same seed, same keys: the cluster's keystore signs exactly as a
+  // keystore built from the base seed alone.
+  crypto::Keystore base(o.scheme, o.seed ^ 0x5eedc0de, o.rsa_bits);
+  const crypto::PrincipalId p = quorum::replica_principal(0);
+  const Bytes msg = to_bytes("layout");
+  auto sig = one.keystore().register_principal(p).sign(msg);
+  auto base_sig = base.register_principal(p).sign(msg);
+  ASSERT_TRUE(sig.is_ok());
+  ASSERT_TRUE(base_sig.is_ok());
+  EXPECT_EQ(sig.value(), base_sig.value());
+  EXPECT_TRUE(base.verify(p, msg, sig.value()));
+
+  auto& c = one.add_client(1);
+  auto& router = one.add_router(2);
+  EXPECT_EQ(&one.client(2), &router.shard_client(0));
+  ASSERT_TRUE(one.write(c, 1, to_bytes("a")).is_ok());
+  ASSERT_TRUE(one.read(router, 1).is_ok());
+  const auto& names = one.snapshot_metrics().counter_names();
+  for (const auto& [name, slot] : names) {
+    EXPECT_NE(name.rfind("shard/", 0), 0u) << name;
+  }
+  EXPECT_EQ(names.count("replica/0/grants"), 1u);
+  EXPECT_EQ(names.count("client/1/writes"), 1u);
+  EXPECT_EQ(names.count("client/2/reads"), 1u);
+  EXPECT_EQ(names.count("sig_verify_calls"), 1u);
+
+  // Two shards scope every shard-local source; routers own client/<id>.
+  o.shards = 2;
+  Cluster two(o);
+  auto& r2 = two.add_router(1);
+  for (quorum::ObjectId obj = 1; obj <= 4; ++obj) {
+    ASSERT_TRUE(two.write(r2, obj, to_bytes("b")).is_ok());
+  }
+  const auto& scoped = two.snapshot_metrics().counter_names();
+  EXPECT_EQ(scoped.count("shard/1/replica/0/grants"), 1u);
+  EXPECT_EQ(scoped.count("shard/0/replica/0/grants"), 1u);
+  EXPECT_EQ(scoped.count("replica/0/grants"), 0u);
+  EXPECT_EQ(scoped.count("client/1/writes"), 1u);
+  EXPECT_EQ(two.replica_nodes(1)[0], shard_replica_node(1, 0));
+}
+
+TEST(ClusterDeathTest, AddClientAbortsOnMultiShardCluster) {
+  // A protocol client only reaches shard 0's group; with two shards it
+  // must be refused in every build type, not just where asserts are on.
+  ClusterOptions o;
+  o.shards = 2;
+  EXPECT_DEATH(
+      {
+        Cluster two(o);
+        two.add_client(1);
+      },
+      "use add_router");
+}
+
 TEST(ClusterTest, PerClientOptionsOverrideDefaults) {
   ClusterOptions o;
   o.optimized = true;

@@ -13,7 +13,6 @@
 #include "checker/bft_linearizability.h"
 #include "checker/history.h"
 #include "harness/cluster.h"
-#include "harness/sharded_cluster.h"
 #include "metrics/registry.h"
 #include "net/cluster_config.h"
 #include "shard/shard_map.h"
@@ -70,9 +69,15 @@ TEST(ShardMapTest, ShardKeySeedsAreDistinctAndShardZeroIsBase) {
 // ------------------------------------------------------------------
 // RoutingClient through the sharded harness
 
+harness::ClusterOptions two_shards() {
+  harness::ClusterOptions o;
+  o.shards = 2;
+  return o;
+}
+
 TEST(RoutingClientTest, WritesLandOnlyOnTheOwningGroup) {
-  harness::ShardedCluster cluster;
-  auto& c = cluster.add_client(1);
+  harness::Cluster cluster(two_shards());
+  auto& c = cluster.add_router(1);
   for (quorum::ObjectId id = 1; id <= 6; ++id) {
     ASSERT_TRUE(cluster.write(c, id, to_bytes("v" + std::to_string(id)))
                     .is_ok());
@@ -80,9 +85,9 @@ TEST(RoutingClientTest, WritesLandOnlyOnTheOwningGroup) {
   for (quorum::ObjectId id = 1; id <= 6; ++id) {
     const std::uint32_t home = cluster.shard_of(id);
     const std::uint32_t other = 1 - home;
-    EXPECT_NE(cluster.replica(home, 0).find_object(id), nullptr)
+    EXPECT_NE(cluster.replica(0, home).find_object(id), nullptr)
         << "object " << id << " missing from its home shard";
-    EXPECT_EQ(cluster.replica(other, 0).find_object(id), nullptr)
+    EXPECT_EQ(cluster.replica(0, other).find_object(id), nullptr)
         << "object " << id << " leaked to the other shard";
     auto r = cluster.read(c, id);
     ASSERT_TRUE(r.is_ok());
@@ -91,13 +96,16 @@ TEST(RoutingClientTest, WritesLandOnlyOnTheOwningGroup) {
 }
 
 TEST(RoutingClientTest, CrossShardWindowPipelinesAndQueues) {
-  harness::ShardedClusterOptions o;
+  harness::ClusterOptions o;
+  o.shards = 2;
   o.optimized = true;
-  o.routing.max_inflight_total = 2;
-  harness::ShardedCluster cluster(o);
+  harness::Cluster cluster(o);
   core::ClientOptions copts;
+  copts.optimized = true;
   copts.max_inflight = 4;
-  auto& c = cluster.add_client(1, copts, o.routing);
+  shard::RoutingClientOptions routing;
+  routing.max_inflight_total = 2;
+  auto& c = cluster.add_router(1, copts, routing);
 
   // Objects 1 and 3 live on shard 1, objects 2 and 4 on shard 0 (pinned
   // above): the submissions alternate groups, so the window genuinely
@@ -126,8 +134,8 @@ TEST(RoutingClientTest, CrossShardWindowPipelinesAndQueues) {
 }
 
 TEST(RoutingClientTest, PartitionedShardStallsOnlyItsOwnObjects) {
-  harness::ShardedCluster cluster;
-  auto& c = cluster.add_client(1);
+  harness::Cluster cluster(two_shards());
+  auto& c = cluster.add_router(1);
   // Seed both groups before the cut.
   ASSERT_TRUE(cluster.write(c, 1, to_bytes("one")).is_ok());   // shard 1
   ASSERT_TRUE(cluster.write(c, 2, to_bytes("two")).is_ok());   // shard 0
@@ -357,9 +365,9 @@ TEST(ClaimUniqueTest, DisambiguatesDuplicateClaims) {
 }
 
 TEST(ClaimUniqueTest, ShardedClusterClientsGetDistinctSummaries) {
-  harness::ShardedCluster cluster;
-  auto& c1 = cluster.add_client(1);
-  auto& c2 = cluster.add_client(2);
+  harness::Cluster cluster(two_shards());
+  auto& c1 = cluster.add_router(1);
+  auto& c2 = cluster.add_router(2);
   ASSERT_TRUE(cluster.write(c1, 1, to_bytes("a")).is_ok());
   ASSERT_TRUE(cluster.write(c2, 2, to_bytes("b")).is_ok());
   auto& reg = cluster.metrics_registry();
