@@ -134,6 +134,20 @@ TEST(BqsTest, TimestampJumpAccepted) {
   EXPECT_GT(w2.value().ts.val, 1'000'000'000u);
 }
 
+// Wire-cost pin: one write and one read at the default seed, with every
+// message the run sends counted (replica gossip included). The exact
+// figures guard the baseline encodings: any byte added to or dropped
+// from a message shows up here.
+TEST(BqsTest, WireCostPinned) {
+  BqsCluster cluster;
+  auto& c = cluster.add_client(1);
+  ASSERT_TRUE(cluster.write(c, 1, to_bytes("pin")).is_ok());
+  ASSERT_TRUE(cluster.read(c, 1).is_ok());
+  cluster.sim().run();
+  EXPECT_EQ(cluster.net().counters().get("msgs_sent"), 24u);
+  EXPECT_EQ(cluster.net().counters().get("bytes_sent"), 1836u);
+}
+
 // ------------------------------------------------------------- Phalanx
 
 TEST(PhalanxTest, WriteReadRoundtrip) {
@@ -292,6 +306,16 @@ TEST(PhalanxTest, IncompleteWriteYieldsNullReadDeterministic) {
 
   // BFT-BC never does this: its read accepts a single self-certifying
   // reply (the certificate travels with the value) and writes it back.
+}
+
+TEST(PhalanxTest, WireCostPinned) {
+  PhalanxCluster cluster;
+  auto& c = cluster.add_client(1);
+  ASSERT_TRUE(cluster.write(c, 1, to_bytes("pin")).is_ok());
+  ASSERT_TRUE(cluster.read(c, 1).is_ok());
+  cluster.settle();
+  EXPECT_EQ(cluster.net().counters().get("msgs_sent"), 50u);
+  EXPECT_EQ(cluster.net().counters().get("bytes_sent"), 2335u);
 }
 
 }  // namespace

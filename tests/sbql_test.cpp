@@ -133,5 +133,18 @@ TEST(SbqlTest, ConcurrentWriterSlowsReader) {
       << "expected concurrent writes to force some multi-round reads";
 }
 
+// Wire-cost pin: one write and one read at the default seed, with the
+// forwards and their acks counted. The exact figures guard the SBQ-L
+// encodings: any byte added to or dropped from a message shows up here.
+TEST(SbqlTest, WireCostPinned) {
+  SbqlCluster cluster;
+  auto& c = cluster.add_client(1);
+  ASSERT_TRUE(cluster.write(c, 1, to_bytes("pin")).is_ok());
+  ASSERT_TRUE(cluster.read(c, 1).is_ok());
+  cluster.run_for(sim::kSecond);
+  EXPECT_EQ(cluster.net().counters().get("msgs_sent"), 48u);
+  EXPECT_EQ(cluster.net().counters().get("bytes_sent"), 1888u);
+}
+
 }  // namespace
 }  // namespace bftbc
