@@ -1,6 +1,6 @@
 #include "baselines/bqs.h"
 
-#include "util/codec.h"
+#include <set>
 
 namespace bftbc::baselines {
 
@@ -22,32 +22,10 @@ bool BqsEntry::verify(ObjectId object, const crypto::Keystore& ks) const {
 
 namespace {
 
-// Wire formats (local to the BQS baseline).
+// Wire formats local to the BQS baseline: the client signs its writes and
+// every replica reply carries the replica's signature in `auth`.
 
-struct BqsReadTsReq {
-  ObjectId object = 0;
-  crypto::Nonce nonce;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<BqsReadTsReq> decode(BytesView b) {
-    Reader r(b);
-    BqsReadTsReq m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
-};
-
-struct BqsReadTsRep {
-  ObjectId object = 0;
-  crypto::Nonce nonce;
-  Timestamp ts;
-  ReplicaId replica = 0;
+struct BqsReadTsRep : TsReply {
   Bytes auth;
   Bytes signing_payload() const {
     Writer w;
@@ -57,25 +35,13 @@ struct BqsReadTsRep {
     ts.encode(w);
     return std::move(w).take();
   }
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    ts.encode(w);
-    w.put_u32(replica);
+  void put(Writer& w) const {
+    TsReply::put(w);
     w.put_bytes(auth);
-    return std::move(w).take();
   }
-  static std::optional<BqsReadTsRep> decode(BytesView b) {
-    Reader r(b);
-    BqsReadTsRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    m.auth = r.get_bytes();
-    if (!r.done()) return std::nullopt;
-    return m;
+  void get(Reader& r) {
+    TsReply::get(r);
+    auth = r.get_bytes();
   }
 };
 
@@ -85,32 +51,23 @@ struct BqsWriteReq {
   Timestamp ts;
   ClientId client = 0;
   Bytes sig;  // over bqs_value_statement
-  Bytes encode() const {
-    Writer w;
+  void put(Writer& w) const {
     w.put_u64(object);
     w.put_bytes(value);
     ts.encode(w);
     w.put_u32(client);
     w.put_bytes(sig);
-    return std::move(w).take();
   }
-  static std::optional<BqsWriteReq> decode(BytesView b) {
-    Reader r(b);
-    BqsWriteReq m;
-    m.object = r.get_u64();
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    m.client = r.get_u32();
-    m.sig = r.get_bytes();
-    if (!r.done()) return std::nullopt;
-    return m;
+  void get(Reader& r) {
+    object = r.get_u64();
+    value = r.get_bytes();
+    ts = Timestamp::decode(r);
+    client = r.get_u32();
+    sig = r.get_bytes();
   }
 };
 
-struct BqsWriteRep {
-  ObjectId object = 0;
-  Timestamp ts;
-  ReplicaId replica = 0;
+struct BqsWriteRep : Ack {
   Bytes auth;
   Bytes signing_payload() const {
     Writer w;
@@ -119,42 +76,13 @@ struct BqsWriteRep {
     ts.encode(w);
     return std::move(w).take();
   }
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    ts.encode(w);
-    w.put_u32(replica);
+  void put(Writer& w) const {
+    Ack::put(w);
     w.put_bytes(auth);
-    return std::move(w).take();
   }
-  static std::optional<BqsWriteRep> decode(BytesView b) {
-    Reader r(b);
-    BqsWriteRep m;
-    m.object = r.get_u64();
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    m.auth = r.get_bytes();
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
-};
-
-struct BqsReadReq {
-  ObjectId object = 0;
-  crypto::Nonce nonce;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<BqsReadReq> decode(BytesView b) {
-    Reader r(b);
-    BqsReadReq m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
+  void get(Reader& r) {
+    Ack::get(r);
+    auth = r.get_bytes();
   }
 };
 
@@ -173,8 +101,7 @@ struct BqsReadRep {
     w.put_raw(crypto::digest_view(crypto::sha256(entry.value)));
     return std::move(w).take();
   }
-  Bytes encode() const {
-    Writer w;
+  void put(Writer& w) const {
     w.put_u64(object);
     nonce.encode(w);
     w.put_bytes(entry.value);
@@ -183,39 +110,38 @@ struct BqsReadRep {
     w.put_bytes(entry.writer_sig);
     w.put_u32(replica);
     w.put_bytes(auth);
-    return std::move(w).take();
   }
-  static std::optional<BqsReadRep> decode(BytesView b) {
-    Reader r(b);
-    BqsReadRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.entry.value = r.get_bytes();
-    m.entry.ts = Timestamp::decode(r);
-    m.entry.writer = r.get_u32();
-    m.entry.writer_sig = r.get_bytes();
-    m.replica = r.get_u32();
-    m.auth = r.get_bytes();
-    if (!r.done()) return std::nullopt;
-    return m;
+  void get(Reader& r) {
+    object = r.get_u64();
+    nonce = crypto::Nonce::decode(r);
+    entry.value = r.get_bytes();
+    entry.ts = Timestamp::decode(r);
+    entry.writer = r.get_u32();
+    entry.writer_sig = r.get_bytes();
+    replica = r.get_u32();
+    auth = r.get_bytes();
   }
 };
+
+// Replica `idx` signed the reply `m`.
+template <typename Msg>
+bool signed_by(const crypto::Keystore& ks, std::uint32_t idx, const Msg& m) {
+  return ks.verify_cached(quorum::replica_principal(idx), m.signing_payload(),
+                          m.auth);
+}
+
+// Accepts replica `idx`'s signed ack of a WRITE of `object` at `t`.
+auto signed_ack(const crypto::Keystore& ks, ObjectId object, Timestamp t) {
+  return [&ks, object, t](auto&, std::uint32_t idx, const rpc::Envelope& e) {
+    auto m = from_wire<BqsWriteRep>(e.body);
+    return m && m->object == object && m->ts == t && m->replica == idx &&
+           signed_by(ks, idx, *m);
+  };
+}
 
 }  // namespace
 
 // ------------------------------------------------------------ replica
-
-BqsReplica::BqsReplica(const quorum::QuorumConfig& config, ReplicaId id,
-                       crypto::Keystore& keystore, rpc::Transport& transport)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::replica_principal(id))),
-      transport_(transport) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
 
 const BqsEntry* BqsReplica::find_object(ObjectId object) const {
   auto it = objects_.find(object);
@@ -223,32 +149,27 @@ const BqsEntry* BqsReplica::find_object(ObjectId object) const {
 }
 
 void BqsReplica::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  auto send = [&](rpc::MsgType type, Bytes body) {
-    rpc::Envelope out;
-    out.type = type;
-    out.rpc_id = env.rpc_id;
-    out.sender = quorum::replica_principal(id_);
-    out.body = std::move(body);
-    transport_.send(from, out);
+  auto signed_reply = [&](rpc::MsgType type, auto& rep) {
+    rep.replica = id_;
+    auto sig = signer_.sign(rep.signing_payload());
+    rep.auth = sig.is_ok() ? std::move(sig).take() : Bytes{};
+    reply(from, env, type, to_wire(rep));
   };
 
   switch (env.type) {
     case rpc::MsgType::kBqsReadTs: {
-      auto req = BqsReadTsReq::decode(env.body);
+      auto req = from_wire<ObjectNonce>(env.body);
       if (!req) return;
       BqsReadTsRep rep;
       rep.object = req->object;
       rep.nonce = req->nonce;
       rep.ts = objects_[req->object].ts;
-      rep.replica = id_;
-      auto sig = signer_.sign(rep.signing_payload());
-      rep.auth = sig.is_ok() ? std::move(sig).take() : Bytes{};
       metrics_.inc("reply_read_ts");
-      send(rpc::MsgType::kBqsReadTsReply, rep.encode());
+      signed_reply(rpc::MsgType::kBqsReadTsReply, rep);
       break;
     }
     case rpc::MsgType::kBqsWrite: {
-      auto req = BqsWriteReq::decode(env.body);
+      auto req = from_wire<BqsWriteReq>(env.body);
       if (!req) return;
       // The ONLY write check in classic BQS: the client is authorized
       // (its signature over 〈value, ts〉 verifies) and ts is newer.
@@ -256,40 +177,31 @@ void BqsReplica::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
                                              crypto::sha256(req->value));
       if (quorum::is_replica_principal(req->client) ||
           !keystore_.verify_cached(quorum::client_principal(req->client), stmt,
-                            req->sig)) {
+                                   req->sig)) {
         metrics_.inc("drop_bad_auth");
         return;
       }
       BqsEntry& entry = objects_[req->object];
       if (req->ts > entry.ts) {
-        entry.value = req->value;
-        entry.ts = req->ts;
-        entry.writer = req->client;
-        entry.writer_sig = req->sig;
+        entry = BqsEntry{req->value, req->ts, req->client, req->sig};
         metrics_.inc("state_overwritten");
       }
       BqsWriteRep rep;
       rep.object = req->object;
       rep.ts = req->ts;
-      rep.replica = id_;
-      auto sig = signer_.sign(rep.signing_payload());
-      rep.auth = sig.is_ok() ? std::move(sig).take() : Bytes{};
       metrics_.inc("reply_write");
-      send(rpc::MsgType::kBqsWriteReply, rep.encode());
+      signed_reply(rpc::MsgType::kBqsWriteReply, rep);
       break;
     }
     case rpc::MsgType::kBqsRead: {
-      auto req = BqsReadReq::decode(env.body);
+      auto req = from_wire<ObjectNonce>(env.body);
       if (!req) return;
       BqsReadRep rep;
       rep.object = req->object;
       rep.nonce = req->nonce;
       rep.entry = objects_[req->object];
-      rep.replica = id_;
-      auto sig = signer_.sign(rep.signing_payload());
-      rep.auth = sig.is_ok() ? std::move(sig).take() : Bytes{};
       metrics_.inc("reply_read");
-      send(rpc::MsgType::kBqsReadReply, rep.encode());
+      signed_reply(rpc::MsgType::kBqsReadReply, rep);
       break;
     }
     default:
@@ -301,246 +213,88 @@ void BqsReplica::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
 
 // ------------------------------------------------------------ client
 
-struct BqsClient::Op {
-  std::uint64_t op_id = 0;
-  ObjectId object = 0;
-  int phases = 0;
-  bool is_write = false;
-  Bytes value;
-  crypto::Nonce nonce;
-  Timestamp max_ts;
-  // read harvest
+struct BqsClient::ReadOp : Op {
   bool any = false;
   BqsEntry best;
-  std::set<std::pair<std::uint64_t, ClientId>> versions;
-  WriteCallback wcb;
+  std::set<Timestamp> versions;
   ReadCallback rcb;
-  std::unique_ptr<rpc::QuorumCall> call;
-  sim::TimerId deadline_timer = 0;
 };
 
-BqsClient::BqsClient(const quorum::QuorumConfig& config, ClientId id,
-                     crypto::Keystore& keystore, rpc::Transport& transport,
-                     sim::Simulator& simulator,
-                     std::vector<sim::NodeId> replica_nodes, Rng rng,
-                     BqsClientOptions options)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::client_principal(id))),
-      transport_(transport),
-      sim_(simulator),
-      replica_nodes_(std::move(replica_nodes)),
-      nonces_(id, rng),
-      options_(options) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
-
-BqsClient::~BqsClient() = default;
-
-rpc::Envelope BqsClient::make_request(rpc::MsgType type, Bytes body) {
-  rpc::Envelope env;
-  env.type = type;
-  env.rpc_id = next_rpc_id_++;
-  env.sender = quorum::client_principal(id_);
-  env.body = std::move(body);
-  return env;
-}
-
-void BqsClient::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  retired_.clear();
-  for (auto& [op_id, op] : ops_) {
-    if (op->call && op->call->on_reply(from, env)) return;
-  }
-}
-
 void BqsClient::write(ObjectId object, Bytes value, WriteCallback cb) {
-  auto owned = std::make_unique<Op>();
-  Op& op = *owned;
-  op.op_id = next_op_id_++;
-  op.object = object;
-  op.is_write = true;
+  Op& op = add_op(object);
   op.value = std::move(value);
   op.wcb = std::move(cb);
   op.nonce = nonces_.next();
-  ops_[op.op_id] = std::move(owned);
   metrics_.inc("writes");
-
-  BqsReadTsReq req;
-  req.object = object;
-  req.nonce = op.nonce;
-  const std::uint64_t op_id = op.op_id;
-  ++op.phases;
-  op.call = std::make_unique<rpc::QuorumCall>(
-      sim_, transport_, replica_nodes_, config_.q,
-      make_request(rpc::MsgType::kBqsReadTs, req.encode()),
-      [this, op_id](std::uint32_t idx, const rpc::Envelope& e) {
-        auto it = ops_.find(op_id);
-        if (it == ops_.end() || e.type != rpc::MsgType::kBqsReadTsReply)
-          return false;
-        Op& op = *it->second;
-        auto m = BqsReadTsRep::decode(e.body);
-        if (!m || m->object != op.object || m->nonce != op.nonce ||
-            m->replica != idx) {
-          return false;
-        }
-        if (!keystore_.verify_cached(quorum::replica_principal(idx),
-                              m->signing_payload(), m->auth)) {
-          return false;
-        }
+  phase(
+      op, rpc::MsgType::kBqsReadTs, to_wire(ObjectNonce{object, op.nonce}),
+      rpc::MsgType::kBqsReadTsReply,
+      [this](Op& op, std::uint32_t idx, const rpc::Envelope& e) {
+        auto m = echo_reply<BqsReadTsRep>(op, idx, e);
+        if (!m || !signed_by(keystore_, idx, *m)) return false;
         if (m->ts > op.max_ts) op.max_ts = m->ts;
         return true;
       },
-      [this, op_id] {
-        auto it = ops_.find(op_id);
-        if (it == ops_.end()) return;
-        Op& op = *it->second;
+      [this](Op& op) {
         // Phase 2: write 〈value, succ(max_ts)〉 signed by us.
         const Timestamp t = op.max_ts.succ(id_);
-        BqsWriteReq req;
-        req.object = op.object;
-        req.value = op.value;
-        req.ts = t;
-        req.client = id_;
         auto sig = signer_.sign(
             bqs_value_statement(op.object, t, crypto::sha256(op.value)));
         if (!sig.is_ok()) {
-          WriteCallback cb = std::move(op.wcb);
-          retired_.push_back(std::move(op.call));
-          ops_.erase(op_id);
-          if (cb) cb(Result<WriteResult>(sig.status()));
+          finish(op, std::move(op.wcb), Result<WriteResult>(sig.status()));
           return;
         }
-        req.sig = std::move(sig).take();
-        ++op.phases;
-        retired_.push_back(std::move(op.call));
-        op.call = std::make_unique<rpc::QuorumCall>(
-            sim_, transport_, replica_nodes_, config_.q,
-            make_request(rpc::MsgType::kBqsWrite, req.encode()),
-            [this, op_id, t](std::uint32_t idx, const rpc::Envelope& e) {
-              auto it = ops_.find(op_id);
-              if (it == ops_.end() || e.type != rpc::MsgType::kBqsWriteReply)
-                return false;
-              Op& op = *it->second;
-              auto m = BqsWriteRep::decode(e.body);
-              if (!m || m->object != op.object || m->ts != t ||
-                  m->replica != idx) {
-                return false;
-              }
-              return keystore_.verify_cached(quorum::replica_principal(idx),
-                                      m->signing_payload(), m->auth);
-            },
-            [this, op_id, t] {
-              auto it = ops_.find(op_id);
-              if (it == ops_.end()) return;
-              Op& op = *it->second;
-              metrics_.inc("write_phases",
-                           static_cast<std::uint64_t>(op.phases));
-              WriteResult result{t, op.phases};
-              WriteCallback cb = std::move(op.wcb);
-              retired_.push_back(std::move(op.call));
-              ops_.erase(op_id);
-              if (cb) cb(Result<WriteResult>(result));
-            },
-            nullptr, options_.rpc);
-      },
-      nullptr, options_.rpc);
+        const BqsWriteReq req{op.object, op.value, t, id_,
+                              std::move(sig).take()};
+        phase(op, rpc::MsgType::kBqsWrite, to_wire(req),
+              rpc::MsgType::kBqsWriteReply, signed_ack(keystore_, op.object, t),
+              [this, t](Op& op) { finish_write(op, t); });
+      });
 }
 
 void BqsClient::read(ObjectId object, ReadCallback cb) {
-  auto owned = std::make_unique<Op>();
-  Op& op = *owned;
-  op.op_id = next_op_id_++;
-  op.object = object;
+  auto& op = add_op<ReadOp>(object);
   op.rcb = std::move(cb);
   op.nonce = nonces_.next();
-  ops_[op.op_id] = std::move(owned);
   metrics_.inc("reads");
-
-  BqsReadReq req;
-  req.object = object;
-  req.nonce = op.nonce;
-  const std::uint64_t op_id = op.op_id;
-  ++op.phases;
-  op.call = std::make_unique<rpc::QuorumCall>(
-      sim_, transport_, replica_nodes_, config_.q,
-      make_request(rpc::MsgType::kBqsRead, req.encode()),
-      [this, op_id](std::uint32_t idx, const rpc::Envelope& e) {
-        auto it = ops_.find(op_id);
-        if (it == ops_.end() || e.type != rpc::MsgType::kBqsReadReply)
-          return false;
-        Op& op = *it->second;
-        auto m = BqsReadRep::decode(e.body);
-        if (!m || m->object != op.object || m->nonce != op.nonce ||
-            m->replica != idx) {
+  phase(
+      op, rpc::MsgType::kBqsRead, to_wire(ObjectNonce{object, op.nonce}),
+      rpc::MsgType::kBqsReadReply,
+      [this](ReadOp& op, std::uint32_t idx, const rpc::Envelope& e) {
+        auto m = echo_reply<BqsReadRep>(op, idx, e);
+        // The value must carry a valid writer signature (or be genesis).
+        if (!m || !signed_by(keystore_, idx, *m) ||
+            !m->entry.verify(op.object, keystore_)) {
           return false;
         }
-        if (!keystore_.verify_cached(quorum::replica_principal(idx),
-                              m->signing_payload(), m->auth)) {
-          return false;
-        }
-        // Value must carry a valid writer signature (or be genesis).
-        if (!m->entry.verify(op.object, keystore_)) return false;
-        op.versions.insert({m->entry.ts.val, m->entry.ts.id});
+        op.versions.insert(m->entry.ts);
         if (!op.any || m->entry.ts > op.best.ts) {
           op.any = true;
           op.best = m->entry;
         }
         return true;
       },
-      [this, op_id] {
-        auto it = ops_.find(op_id);
-        if (it == ops_.end()) return;
-        Op& op = *it->second;
-        if (!options_.write_back_reads || op.versions.size() <= 1) {
-          metrics_.inc("read_phases", static_cast<std::uint64_t>(op.phases));
-          ReadResult result{op.best.value, op.best.ts, op.phases};
-          ReadCallback cb = std::move(op.rcb);
-          retired_.push_back(std::move(op.call));
-          ops_.erase(op_id);
-          if (cb) cb(Result<ReadResult>(std::move(result)));
+      [this](ReadOp& op) {
+        if (op.versions.size() <= 1) {
+          finish_read(op);
           return;
         }
         // Write-back phase (Phalanx extension): replay the winning entry
         // with its ORIGINAL writer signature.
-        BqsWriteReq wreq;
-        wreq.object = op.object;
-        wreq.value = op.best.value;
-        wreq.ts = op.best.ts;
-        wreq.client = op.best.writer;
-        wreq.sig = op.best.writer_sig;
-        const Timestamp t = op.best.ts;
-        ++op.phases;
-        retired_.push_back(std::move(op.call));
-        op.call = std::make_unique<rpc::QuorumCall>(
-            sim_, transport_, replica_nodes_, config_.q,
-            make_request(rpc::MsgType::kBqsWrite, wreq.encode()),
-            [this, op_id, t](std::uint32_t idx, const rpc::Envelope& e) {
-              auto it = ops_.find(op_id);
-              if (it == ops_.end() || e.type != rpc::MsgType::kBqsWriteReply)
-                return false;
-              auto m = BqsWriteRep::decode(e.body);
-              if (!m || m->ts != t || m->replica != idx) return false;
-              return keystore_.verify_cached(quorum::replica_principal(idx),
-                                      m->signing_payload(), m->auth);
-            },
-            [this, op_id] {
-              auto it = ops_.find(op_id);
-              if (it == ops_.end()) return;
-              Op& op = *it->second;
-              metrics_.inc("read_phases",
-                           static_cast<std::uint64_t>(op.phases));
-              ReadResult result{op.best.value, op.best.ts, op.phases};
-              ReadCallback cb = std::move(op.rcb);
-              retired_.push_back(std::move(op.call));
-              ops_.erase(op_id);
-              if (cb) cb(Result<ReadResult>(std::move(result)));
-            },
-            nullptr, options_.rpc);
-      },
-      nullptr, options_.rpc);
+        const BqsEntry& best = op.best;
+        const BqsWriteReq req{op.object, best.value, best.ts, best.writer,
+                              best.writer_sig};
+        phase(op, rpc::MsgType::kBqsWrite, to_wire(req),
+              rpc::MsgType::kBqsWriteReply,
+              signed_ack(keystore_, op.object, best.ts),
+              [this](ReadOp& op) { finish_read(op); });
+      });
+}
+
+void BqsClient::finish_read(ReadOp& op) {
+  metrics_.inc("read_phases", static_cast<std::uint64_t>(op.phases));
+  finish(op, std::move(op.rcb),
+         Result<ReadResult>(ReadResult{op.best.value, op.best.ts, op.phases}));
 }
 
 // ------------------------------------------------------------ attacker
@@ -550,77 +304,43 @@ BqsEquivocator::BqsEquivocator(const quorum::QuorumConfig& config, ClientId id,
                                rpc::Transport& transport,
                                sim::Simulator& simulator,
                                std::vector<sim::NodeId> replica_nodes, Rng rng)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::client_principal(id))),
-      transport_(transport),
-      sim_(simulator),
-      replica_nodes_(std::move(replica_nodes)),
-      nonces_(id, rng) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
-
-void BqsEquivocator::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  retired_.clear();
-  if (call_) call_->on_reply(from, env);
+    : QuorumClient(config, id, keystore, transport, simulator,
+                   std::move(replica_nodes), rng) {
+  next_rpc_id_ = 0xbad;
 }
 
 void BqsEquivocator::attack(ObjectId object, Bytes v1, Bytes v2,
                             std::function<void()> done) {
-  BqsReadTsReq req;
-  req.object = object;
-  req.nonce = nonces_.next();
-  const crypto::Nonce nonce = req.nonce;
-  rpc::Envelope env;
-  env.type = rpc::MsgType::kBqsReadTs;
-  env.rpc_id = next_rpc_id_++;
-  env.sender = quorum::client_principal(id_);
-  env.body = req.encode();
-
-  auto max_ts = std::make_shared<Timestamp>();
-  call_ = std::make_unique<rpc::QuorumCall>(
-      sim_, transport_, replica_nodes_, config_.q, std::move(env),
-      [this, object, nonce, max_ts](std::uint32_t idx,
-                                    const rpc::Envelope& e) {
-        if (e.type != rpc::MsgType::kBqsReadTsReply) return false;
-        auto m = BqsReadTsRep::decode(e.body);
-        if (!m || m->object != object || m->nonce != nonce ||
-            m->replica != idx)
-          return false;
-        if (m->ts > *max_ts) *max_ts = m->ts;
-        return true;
+  Op& op = add_op(object);
+  op.nonce = nonces_.next();
+  phase(
+      op, rpc::MsgType::kBqsReadTs, to_wire(ObjectNonce{object, op.nonce}),
+      rpc::MsgType::kBqsReadTsReply,
+      [](Op& op, std::uint32_t idx, const rpc::Envelope& e) {
+        auto m = echo_reply<BqsReadTsRep>(op, idx, e);
+        if (m && m->ts > op.max_ts) op.max_ts = m->ts;
+        return m.has_value();
       },
-      [this, object, v1 = std::move(v1), v2 = std::move(v2), max_ts,
-       done = std::move(done)] {
-        retired_.push_back(std::move(call_));
-        const Timestamp t = max_ts->succ(id_);
+      [this, v1 = std::move(v1), v2 = std::move(v2),
+       done = std::move(done)](Op& op) {
+        const Timestamp t = op.max_ts.succ(id_);
         // Sign BOTH values for the same timestamp — BQS replicas accept
         // whichever reaches them. Split the group in half.
         auto send_half = [&](const Bytes& v, std::size_t lo, std::size_t hi) {
-          BqsWriteReq w;
-          w.object = object;
-          w.value = v;
-          w.ts = t;
-          w.client = id_;
-          auto sig =
-              signer_.sign(bqs_value_statement(object, t, crypto::sha256(v)));
+          auto sig = signer_.sign(
+              bqs_value_statement(op.object, t, crypto::sha256(v)));
           if (!sig.is_ok()) return;
-          w.sig = std::move(sig).take();
-          rpc::Envelope env;
-          env.type = rpc::MsgType::kBqsWrite;
-          env.rpc_id = next_rpc_id_++;
-          env.sender = quorum::client_principal(id_);
-          env.body = w.encode();
+          const BqsWriteReq w{op.object, v, t, id_, std::move(sig).take()};
+          const rpc::Envelope env = envelope(
+              rpc::MsgType::kBqsWrite, next_rpc_id_++, signer_.principal(),
+              to_wire(w));
           for (std::size_t i = lo; i < hi; ++i)
             transport_.send(replica_nodes_[i], env);
         };
         const std::size_t half = replica_nodes_.size() / 2;
         send_half(v1, 0, half);
         send_half(v2, half, replica_nodes_.size());
-        done();
+        finish(op, done);
       });
 }
 

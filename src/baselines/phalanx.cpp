@@ -1,14 +1,13 @@
 #include "baselines/phalanx.h"
 
-#include "util/codec.h"
+#include "crypto/sha256.h"
 
 namespace bftbc::baselines {
 
 namespace {
 
-// Wire formats local to the Phalanx baseline. The echo round reuses the
-// kPhalanxWrite envelope type with an is_echo flag.
-
+// The client's WRITE and the replicas' echo of it share the kPhalanxWrite
+// envelope type; an echo sets is_echo and names its echoer.
 struct PhxWriteMsg {
   ObjectId object = 0;
   Bytes value;
@@ -16,140 +15,25 @@ struct PhxWriteMsg {
   bool is_echo = false;
   ReplicaId echoer = 0;  // meaningful when is_echo
 
-  Bytes encode() const {
-    Writer w;
+  void put(Writer& w) const {
     w.put_u64(object);
     w.put_bytes(value);
     ts.encode(w);
     w.put_bool(is_echo);
     w.put_u32(echoer);
-    return std::move(w).take();
   }
-  static std::optional<PhxWriteMsg> decode(BytesView b) {
-    Reader r(b);
-    PhxWriteMsg m;
-    m.object = r.get_u64();
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    m.is_echo = r.get_bool();
-    m.echoer = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
-};
-
-struct PhxAck {
-  ObjectId object = 0;
-  Timestamp ts;
-  ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<PhxAck> decode(BytesView b) {
-    Reader r(b);
-    PhxAck m;
-    m.object = r.get_u64();
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
-};
-
-struct PhxReadTsReq {
-  ObjectId object = 0;
-  crypto::Nonce nonce;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<PhxReadTsReq> decode(BytesView b) {
-    Reader r(b);
-    PhxReadTsReq m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
-};
-
-struct PhxReadTsRep {
-  ObjectId object = 0;
-  crypto::Nonce nonce;
-  Timestamp ts;
-  ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<PhxReadTsRep> decode(BytesView b) {
-    Reader r(b);
-    PhxReadTsRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
-};
-
-struct PhxReadRep {
-  ObjectId object = 0;
-  crypto::Nonce nonce;
-  Bytes value;
-  Timestamp ts;
-  ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    w.put_bytes(value);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<PhxReadRep> decode(BytesView b) {
-    Reader r(b);
-    PhxReadRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
+  void get(Reader& r) {
+    object = r.get_u64();
+    value = r.get_bytes();
+    ts = Timestamp::decode(r);
+    is_echo = r.get_bool();
+    echoer = r.get_u32();
   }
 };
 
 }  // namespace
 
 // ------------------------------------------------------------ replica
-
-PhalanxReplica::PhalanxReplica(const quorum::QuorumConfig& config,
-                               ReplicaId id, crypto::Keystore& keystore,
-                               rpc::Transport& transport,
-                               std::vector<sim::NodeId> peer_nodes)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::replica_principal(id))),
-      transport_(transport),
-      peer_nodes_(std::move(peer_nodes)) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
 
 const PhalanxReplica::Committed* PhalanxReplica::committed(
     ObjectId object) const {
@@ -159,17 +43,9 @@ const PhalanxReplica::Committed* PhalanxReplica::committed(
 
 void PhalanxReplica::start_echo(ObjectId object, const Timestamp& ts,
                                 const Bytes& value) {
-  PhxWriteMsg echo;
-  echo.object = object;
-  echo.value = value;
-  echo.ts = ts;
-  echo.is_echo = true;
-  echo.echoer = id_;
-  rpc::Envelope env;
-  env.type = rpc::MsgType::kPhalanxWrite;
-  env.rpc_id = 0;
-  env.sender = quorum::replica_principal(id_);
-  env.body = echo.encode();
+  const rpc::Envelope env =
+      envelope(rpc::MsgType::kPhalanxWrite, 0, signer_.principal(),
+               to_wire(PhxWriteMsg{object, value, ts, true, id_}));
   for (sim::NodeId peer : peer_nodes_) {
     if (peer != transport_.node_id()) transport_.send(peer, env);
   }
@@ -182,7 +58,7 @@ void PhalanxReplica::absorb_echo(ObjectId object, const Timestamp& ts,
   ObjectData& data = objects_[object];
   if (!(ts > data.committed.ts)) return;  // already superseded
   const Bytes h = crypto::digest_bytes(crypto::sha256(value));
-  EchoState& state = data.echoes[{{ts.val, ts.id}, h}];
+  EchoState& state = data.echoes[{ts, h}];
   if (state.value.empty()) state.value = value;
   state.echoers.insert(echoer);
   if (state.echoers.size() >= config_.q) {
@@ -192,8 +68,7 @@ void PhalanxReplica::absorb_echo(ObjectId object, const Timestamp& ts,
     metrics_.inc("committed");
     // Drop superseded echo bookkeeping.
     for (auto it = data.echoes.begin(); it != data.echoes.end();) {
-      const Timestamp ets{it->first.first.first, it->first.first.second};
-      if (ets <= ts) {
+      if (it->first.first <= ts) {
         it = data.echoes.erase(it);
       } else {
         ++it;
@@ -203,30 +78,18 @@ void PhalanxReplica::absorb_echo(ObjectId object, const Timestamp& ts,
 }
 
 void PhalanxReplica::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  auto send = [&](rpc::MsgType type, Bytes body) {
-    rpc::Envelope out;
-    out.type = type;
-    out.rpc_id = env.rpc_id;
-    out.sender = quorum::replica_principal(id_);
-    out.body = std::move(body);
-    transport_.send(from, out);
-  };
-
   switch (env.type) {
     case rpc::MsgType::kPhalanxReadTs: {
-      auto req = PhxReadTsReq::decode(env.body);
+      auto req = from_wire<ObjectNonce>(env.body);
       if (!req) return;
-      PhxReadTsRep rep;
-      rep.object = req->object;
-      rep.nonce = req->nonce;
-      rep.ts = objects_[req->object].committed.ts;
-      rep.replica = id_;
+      const TsReply rep{req->object, req->nonce,
+                        objects_[req->object].committed.ts, id_};
       metrics_.inc("reply_read_ts");
-      send(rpc::MsgType::kPhalanxReadTsReply, rep.encode());
+      reply(from, env, rpc::MsgType::kPhalanxReadTsReply, to_wire(rep));
       break;
     }
     case rpc::MsgType::kPhalanxWrite: {
-      auto msg = PhxWriteMsg::decode(env.body);
+      auto msg = from_wire<PhxWriteMsg>(env.body);
       if (!msg) return;
       if (msg->is_echo) {
         // Echo from a peer replica (authenticated at the transport level
@@ -244,25 +107,17 @@ void PhalanxReplica::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
       // of echoes (this is the three-message-delay write).
       metrics_.inc("reply_write");
       start_echo(msg->object, msg->ts, msg->value);
-      PhxAck ack;
-      ack.object = msg->object;
-      ack.ts = msg->ts;
-      ack.replica = id_;
-      send(rpc::MsgType::kPhalanxWriteReply, ack.encode());
+      reply(from, env, rpc::MsgType::kPhalanxWriteReply,
+            to_wire(Ack{msg->object, msg->ts, id_}));
       break;
     }
     case rpc::MsgType::kPhalanxRead: {
-      auto req = PhxReadTsReq::decode(env.body);  // same shape
+      auto req = from_wire<ObjectNonce>(env.body);
       if (!req) return;
-      const ObjectData& data = objects_[req->object];
-      PhxReadRep rep;
-      rep.object = req->object;
-      rep.nonce = req->nonce;
-      rep.value = data.committed.value;
-      rep.ts = data.committed.ts;
-      rep.replica = id_;
+      const Committed& c = objects_[req->object].committed;
       metrics_.inc("reply_read");
-      send(rpc::MsgType::kPhalanxReadReply, rep.encode());
+      reply(from, env, rpc::MsgType::kPhalanxReadReply,
+            to_wire(ValueReply{req->object, req->nonce, c.value, c.ts, id_}));
       break;
     }
     default:
@@ -274,172 +129,41 @@ void PhalanxReplica::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
 
 // ------------------------------------------------------------ client
 
-struct PhalanxClient::Op {
-  std::uint64_t op_id = 0;
-  ObjectId object = 0;
-  int phases = 0;
-  Bytes value;
-  crypto::Nonce nonce;
-  Timestamp max_ts;
-  // read harvest: replica -> (ts, value)
-  std::map<ReplicaId, std::pair<Timestamp, Bytes>> read_replies;
-  WriteCallback wcb;
+struct PhalanxClient::ReadOp : Op {
+  std::map<ReplicaId, std::pair<Timestamp, Bytes>> replies;
   ReadCallback rcb;
-  std::unique_ptr<rpc::QuorumCall> call;
 };
 
-PhalanxClient::PhalanxClient(const quorum::QuorumConfig& config, ClientId id,
-                             crypto::Keystore& keystore,
-                             rpc::Transport& transport,
-                             sim::Simulator& simulator,
-                             std::vector<sim::NodeId> replica_nodes, Rng rng,
-                             PhalanxClientOptions options)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::client_principal(id))),
-      transport_(transport),
-      sim_(simulator),
-      replica_nodes_(std::move(replica_nodes)),
-      nonces_(id, rng),
-      options_(options) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
-
-PhalanxClient::~PhalanxClient() = default;
-
-rpc::Envelope PhalanxClient::make_request(rpc::MsgType type, Bytes body) {
-  rpc::Envelope env;
-  env.type = type;
-  env.rpc_id = next_rpc_id_++;
-  env.sender = quorum::client_principal(id_);
-  env.body = std::move(body);
-  return env;
-}
-
-void PhalanxClient::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  retired_.clear();
-  for (auto& [op_id, op] : ops_) {
-    if (op->call && op->call->on_reply(from, env)) return;
-  }
-}
-
 void PhalanxClient::write(ObjectId object, Bytes value, WriteCallback cb) {
-  auto owned = std::make_unique<Op>();
-  Op& op = *owned;
-  op.op_id = next_op_id_++;
-  op.object = object;
-  op.value = std::move(value);
-  op.wcb = std::move(cb);
-  op.nonce = nonces_.next();
-  ops_[op.op_id] = std::move(owned);
-  metrics_.inc("writes");
-
-  PhxReadTsReq req;
-  req.object = object;
-  req.nonce = op.nonce;
-  const std::uint64_t op_id = op.op_id;
-  ++op.phases;
-  op.call = std::make_unique<rpc::QuorumCall>(
-      sim_, transport_, replica_nodes_, config_.q,
-      make_request(rpc::MsgType::kPhalanxReadTs, req.encode()),
-      [this, op_id](std::uint32_t idx, const rpc::Envelope& e) {
-        auto it = ops_.find(op_id);
-        if (it == ops_.end() || e.type != rpc::MsgType::kPhalanxReadTsReply)
-          return false;
-        Op& op = *it->second;
-        auto m = PhxReadTsRep::decode(e.body);
-        if (!m || m->object != op.object || m->nonce != op.nonce ||
-            m->replica != idx)
-          return false;
-        if (m->ts > op.max_ts) op.max_ts = m->ts;
-        return true;
-      },
-      [this, op_id] {
-        auto it = ops_.find(op_id);
-        if (it == ops_.end()) return;
-        Op& op = *it->second;
-        const Timestamp t = op.max_ts.succ(id_);
-        PhxWriteMsg msg;
-        msg.object = op.object;
-        msg.value = op.value;
-        msg.ts = t;
-        ++op.phases;
-        retired_.push_back(std::move(op.call));
-        op.call = std::make_unique<rpc::QuorumCall>(
-            sim_, transport_, replica_nodes_, config_.q,
-            make_request(rpc::MsgType::kPhalanxWrite, msg.encode()),
-            [this, op_id, t](std::uint32_t idx, const rpc::Envelope& e) {
-              auto it = ops_.find(op_id);
-              if (it == ops_.end() ||
-                  e.type != rpc::MsgType::kPhalanxWriteReply)
-                return false;
-              auto m = PhxAck::decode(e.body);
-              return m && m->ts == t && m->replica == idx;
-            },
-            [this, op_id, t] {
-              auto it = ops_.find(op_id);
-              if (it == ops_.end()) return;
-              Op& op = *it->second;
-              metrics_.inc("write_phases",
-                           static_cast<std::uint64_t>(op.phases));
-              WriteResult result{t, op.phases};
-              WriteCallback cb = std::move(op.wcb);
-              retired_.push_back(std::move(op.call));
-              ops_.erase(op_id);
-              if (cb) cb(Result<WriteResult>(result));
-            },
-            nullptr, options_.rpc);
-      },
-      nullptr, options_.rpc);
+  write_at_next_ts<PhxWriteMsg>(
+      object, std::move(value), std::move(cb),
+      {rpc::MsgType::kPhalanxReadTs, rpc::MsgType::kPhalanxReadTsReply,
+       rpc::MsgType::kPhalanxWrite, rpc::MsgType::kPhalanxWriteReply});
 }
 
 void PhalanxClient::read(ObjectId object, ReadCallback cb) {
-  auto owned = std::make_unique<Op>();
-  Op& op = *owned;
-  op.op_id = next_op_id_++;
-  op.object = object;
+  auto& op = add_op<ReadOp>(object);
   op.rcb = std::move(cb);
   op.nonce = nonces_.next();
-  ops_[op.op_id] = std::move(owned);
   metrics_.inc("reads");
-
-  PhxReadTsReq req;
-  req.object = object;
-  req.nonce = op.nonce;
-  const std::uint64_t op_id = op.op_id;
-  ++op.phases;
-  op.call = std::make_unique<rpc::QuorumCall>(
-      sim_, transport_, replica_nodes_, config_.q,
-      make_request(rpc::MsgType::kPhalanxRead, req.encode()),
-      [this, op_id](std::uint32_t idx, const rpc::Envelope& e) {
-        auto it = ops_.find(op_id);
-        if (it == ops_.end() || e.type != rpc::MsgType::kPhalanxReadReply)
-          return false;
-        Op& op = *it->second;
-        auto m = PhxReadRep::decode(e.body);
-        if (!m || m->object != op.object || m->nonce != op.nonce ||
-            m->replica != idx)
-          return false;
-        op.read_replies[idx] = {m->ts, m->value};
-        return true;
+  phase(
+      op, rpc::MsgType::kPhalanxRead, to_wire(ObjectNonce{object, op.nonce}),
+      rpc::MsgType::kPhalanxReadReply,
+      [](ReadOp& op, std::uint32_t idx, const rpc::Envelope& e) {
+        auto m = echo_reply<ValueReply>(op, idx, e);
+        if (m) op.replies[idx] = {m->ts, m->value};
+        return m.has_value();
       },
-      [this, op_id] {
-        auto it = ops_.find(op_id);
-        if (it == ops_.end()) return;
-        Op& op = *it->second;
-
+      [this](ReadOp& op) {
         // Masking-quorum read rule: the highest timestamp among replies
         // is returned only if f+1 replicas vouch for the same
         // (ts, value); otherwise the read returns null.
         Timestamp top;
-        for (const auto& [r, tv] : op.read_replies) {
+        for (const auto& [r, tv] : op.replies) {
           if (tv.first > top) top = tv.first;
         }
         std::map<Bytes, int> support;
-        for (const auto& [r, tv] : op.read_replies) {
+        for (const auto& [r, tv] : op.replies) {
           if (tv.first == top) ++support[tv.second];
         }
         ReadResult result;
@@ -453,13 +177,8 @@ void PhalanxClient::read(ObjectId object, ReadCallback cb) {
         }
         if (!result.value.has_value()) metrics_.inc("null_reads");
         metrics_.inc("read_phases", static_cast<std::uint64_t>(op.phases));
-
-        ReadCallback cb = std::move(op.rcb);
-        retired_.push_back(std::move(op.call));
-        ops_.erase(op_id);
-        if (cb) cb(Result<ReadResult>(std::move(result)));
-      },
-      nullptr, options_.rpc);
+        finish(op, std::move(op.rcb), Result<ReadResult>(std::move(result)));
+      });
 }
 
 }  // namespace bftbc::baselines

@@ -15,37 +15,20 @@
 // BFT-BC's certificates eliminate; bench E10 measures both.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <optional>
+#include <set>
 
-#include "crypto/nonce.h"
-#include "crypto/sha256.h"
-#include "quorum/config.h"
-#include "quorum/statements.h"
-#include "rpc/quorum_call.h"
-#include "rpc/transport.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
-#include "util/stats.h"
+#include "baselines/node.h"
 
 namespace bftbc::baselines {
 
-using quorum::ClientId;
-using quorum::ObjectId;
-using quorum::ReplicaId;
-using quorum::Timestamp;
-
-class PhalanxReplica {
+class PhalanxReplica : public Node {
  public:
   // `peer_nodes` are the other replicas' addresses for the echo round.
   PhalanxReplica(const quorum::QuorumConfig& config, ReplicaId id,
                  crypto::Keystore& keystore, rpc::Transport& transport,
-                 std::vector<sim::NodeId> peer_nodes);
-
-  ReplicaId id() const { return id_; }
-  const Counters& metrics() const { return metrics_; }
+                 std::vector<sim::NodeId> peer_nodes)
+      : Node(config, id, quorum::replica_principal(id), keystore, transport),
+        peer_nodes_(std::move(peer_nodes)) {}
 
   struct Committed {
     Bytes value;
@@ -54,16 +37,11 @@ class PhalanxReplica {
   const Committed* committed(ObjectId object) const;
 
  private:
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env);
+  void on_envelope(sim::NodeId from, const rpc::Envelope& env) override;
   void start_echo(ObjectId object, const Timestamp& ts, const Bytes& value);
   void absorb_echo(ObjectId object, const Timestamp& ts, const Bytes& value,
                    ReplicaId echoer);
 
-  quorum::QuorumConfig config_;
-  ReplicaId id_;
-  crypto::Keystore& keystore_;
-  crypto::Signer signer_;
-  rpc::Transport& transport_;
   std::vector<sim::NodeId> peer_nodes_;
 
   struct EchoState {
@@ -73,34 +51,15 @@ class PhalanxReplica {
   struct ObjectData {
     Committed committed;
     // (ts, hash) -> echo progress
-    std::map<std::pair<std::pair<std::uint64_t, ClientId>, Bytes>, EchoState>
-        echoes;
+    std::map<std::pair<Timestamp, Bytes>, EchoState> echoes;
   };
   std::map<ObjectId, ObjectData> objects_;
-  Counters metrics_;
 };
 
-struct PhalanxClientOptions {
-  rpc::QuorumCallOptions rpc;
-};
-
-class PhalanxClient {
+class PhalanxClient : public QuorumClient {
  public:
-  PhalanxClient(const quorum::QuorumConfig& config, ClientId id,
-                crypto::Keystore& keystore, rpc::Transport& transport,
-                sim::Simulator& simulator,
-                std::vector<sim::NodeId> replica_nodes, Rng rng,
-                PhalanxClientOptions options = PhalanxClientOptions());
+  using QuorumClient::QuorumClient;
 
-  ~PhalanxClient();
-
-  ClientId id() const { return id_; }
-
-  struct WriteResult {
-    Timestamp ts;
-    int phases = 0;
-  };
-  using WriteCallback = std::function<void(Result<WriteResult>)>;
   void write(ObjectId object, Bytes value, WriteCallback cb);
 
   struct ReadResult {
@@ -113,28 +72,8 @@ class PhalanxClient {
   using ReadCallback = std::function<void(Result<ReadResult>)>;
   void read(ObjectId object, ReadCallback cb);
 
-  const Counters& metrics() const { return metrics_; }
-
  private:
-  struct Op;
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env);
-  rpc::Envelope make_request(rpc::MsgType type, Bytes body);
-
-  quorum::QuorumConfig config_;
-  ClientId id_;
-  crypto::Keystore& keystore_;
-  crypto::Signer signer_;
-  rpc::Transport& transport_;
-  sim::Simulator& sim_;
-  std::vector<sim::NodeId> replica_nodes_;
-  crypto::NonceGenerator nonces_;
-  PhalanxClientOptions options_;
-
-  std::map<std::uint64_t, std::unique_ptr<Op>> ops_;
-  std::vector<std::unique_ptr<rpc::QuorumCall>> retired_;
-  std::uint64_t next_op_id_ = 1;
-  std::uint64_t next_rpc_id_ = 1;
-  Counters metrics_;
+  struct ReadOp;
 };
 
 }  // namespace bftbc::baselines

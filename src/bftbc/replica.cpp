@@ -40,10 +40,6 @@ Replica::~Replica() {
 }
 
 void Replica::deliver(sim::NodeId from, const rpc::Envelope& env) {
-  if (!options_.batch_verify) {
-    on_envelope(from, env);
-    return;
-  }
   pending_batch_.push_back(PendingEnvelope{from, env});
   if (!flush_scheduled_) {
     flush_scheduled_ = true;

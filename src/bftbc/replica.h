@@ -51,14 +51,6 @@ struct ReplicaOptions {
   // §3.1); when false, any client with a valid signature may write.
   // Reads are answered unconditionally either way.
   bool enforce_acl = false;
-  // Same-tick batch verification: all messages delivered to the replica
-  // at one virtual-time instant are drained into a single batch whose
-  // signature checks run through one sorted, cache-aware
-  // Keystore::verify_batch pass before the messages dispatch. Semantics
-  // are identical to per-message processing (handlers still re-check via
-  // the warmed verify cache); only the crypto schedule changes, and it
-  // stays deterministic because the flush is keyed to sim time.
-  bool batch_verify = true;
   // MAC-authenticator mode (paper §3.3.2): point-to-point messages —
   // client requests and replica replies — are authenticated with pair
   // MACs instead of signatures. Client request `sig` fields then carry
@@ -158,8 +150,10 @@ class Replica {
   }
 
  protected:
-  // Transport entry point: enqueues into the current tick's batch (or
-  // dispatches immediately when batching is off).
+  // Transport entry point: enqueues into the current tick's batch. Every
+  // message delivered at one virtual-time instant lands in one batch, so
+  // the flush stays deterministic; accept/reject decisions match
+  // per-message processing (handlers re-check via the warmed cache).
   void deliver(sim::NodeId from, const rpc::Envelope& env);
 
   // Drains the tick's batch: one verify_batch pass over every signature

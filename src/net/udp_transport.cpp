@@ -110,10 +110,6 @@ const sockaddr_in* UdpTransport::addr_for(sim::NodeId to) {
 }
 
 void UdpTransport::send(sim::NodeId to, const rpc::Envelope& env) {
-  if (!options_.coalesce) {
-    send_now(to, env);
-    return;
-  }
   pending_[to].push_back(env);
   if (!flush_scheduled_) {
     flush_scheduled_ = true;

@@ -7,6 +7,7 @@
 
 #include <optional>
 
+#include "baselines/wire.h"
 #include "bftbc/messages.h"
 #include "quorum/certificate.h"
 #include "util/codec.h"
@@ -185,6 +186,38 @@ TEST(CodecRoundtripTest, AllMessagesRoundTripAndRejectTruncation) {
       m.auth = random_bytes(rng, 40);
       check_roundtrip_and_truncation(m);
     }
+  }
+}
+
+// The baseline protocols' shared wire shapes: from_wire(to_wire(m)) == m,
+// every strict prefix is rejected, and so is one trailing byte.
+template <typename Msg>
+void check_baseline_wire(const Msg& msg) {
+  const Bytes wire = baselines::to_wire(msg);
+  EXPECT_EQ(baselines::from_wire<Msg>(wire), msg);
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+    EXPECT_FALSE(
+        baselines::from_wire<Msg>(BytesView(wire.data(), cut)).has_value())
+        << "prefix of length " << cut << "/" << wire.size() << " decoded";
+  }
+  Bytes longer = wire;
+  longer.push_back(0);
+  EXPECT_FALSE(baselines::from_wire<Msg>(longer).has_value())
+      << "a trailing byte was accepted";
+}
+
+TEST(CodecRoundtripTest, BaselineWireShapesRoundTripAndRejectTruncation) {
+  Rng rng(20261020);
+  for (int iter = 0; iter < 40; ++iter) {
+    check_baseline_wire(
+        baselines::ObjectNonce{rng.next_u64(), random_nonce(rng)});
+    check_baseline_wire(baselines::TsReply{rng.next_u64(), random_nonce(rng),
+                                           random_ts(rng), rng.next_u32()});
+    check_baseline_wire(
+        baselines::Ack{rng.next_u64(), random_ts(rng), rng.next_u32()});
+    check_baseline_wire(baselines::ValueReply{
+        rng.next_u64(), random_nonce(rng), random_bytes(rng, 64),
+        random_ts(rng), rng.next_u32()});
   }
 }
 
